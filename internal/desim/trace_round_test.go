@@ -218,3 +218,72 @@ func TestGoldenTrace1k(t *testing.T) {
 		t.Errorf("golden trace digest changed:\n got  %s\n want %s\nIf the protocol or trace schema changed intentionally, update goldenTrace1k.", digest, goldenTrace1k)
 	}
 }
+
+// TestGoldenFaultedTrace1k pins the per-link loss streams: it commits
+// the digests of the n=1000 seed-scenario round under two fault plans —
+// Bernoulli loss with mid-round crashes, and bursty Gilbert–Elliott loss.
+// The sequential ≡ sharded fault tests would still pass if both sides
+// changed streams together; these literals would not. Regenerate with:
+// go test -run TestGoldenFaultedTrace1k -v ./internal/desim (the failure
+// message prints the new value). Literal comparison gated to amd64 like
+// goldenTrace1k; the sequential-vs-sharded equality runs everywhere.
+func TestGoldenFaultedTrace1k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=1000 traced rounds")
+	}
+	tree, f, q := fullRoundSetup(t, 1000)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	cfg.FrameDeadline = 1.5
+	nodes := tree.Network().Len()
+
+	cases := []struct {
+		name   string
+		plan   faults.Config
+		golden string
+	}{
+		{
+			name: "bernoulli+crash",
+			plan: faults.Config{
+				Seed: 17, Channel: faults.ChannelBernoulli, LossRate: 0.1,
+				CrashFraction: 0.05, CrashStart: 0.05, CrashEnd: 0.6,
+				Protect: []network.NodeID{tree.Root()},
+			},
+			golden: "events=33049 sends=761 delivered=5800 acked=761 drops=0 queryheard=912 generated=66 sinkreports=29 md5=db7ab0b1820b3c55f04bc355af2aad78",
+		},
+		{
+			name:   "gilbert-elliott",
+			plan:   faults.Config{Seed: 23, Channel: faults.ChannelGilbertElliott, LossRate: 0.1, Burstiness: 0.6},
+			golden: "events=39476 sends=852 delivered=6362 acked=852 drops=0 queryheard=977 generated=74 sinkreports=33 md5=957ec1918d80e194a9dee9916cb18014",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(eng EngineAPI) string {
+				// Plans are stateful: every run gets a fresh one.
+				plan, err := faults.New(c.plan, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := traceRecorderFor(1000)
+				if _, err := RunFullRoundFaultsEngineTraced(eng, tree, f, q, fc, cfg, plan, rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Dropped() > 0 {
+					t.Fatalf("ring truncated: %d dropped", rec.Dropped())
+				}
+				return goldenDigest(rec)
+			}
+			digest := run(NewEngine())
+			if sharded := run(NewShardedEngine(network.NewGridPartition(tree.Network(), 4), 4)); sharded != digest {
+				t.Errorf("sharded faulted trace diverged:\n sequential: %s\n sharded:    %s", digest, sharded)
+			}
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("golden literal pinned on amd64 (FMA contraction may shift floats on %s)", runtime.GOARCH)
+			}
+			if digest != c.golden {
+				t.Errorf("golden faulted trace digest changed:\n got  %s\n want %s\nIf the protocol, trace schema or loss streams changed intentionally, update the literal.", digest, c.golden)
+			}
+		})
+	}
+}
