@@ -199,6 +199,56 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	}
 }
 
+// TestDeltaStateFootprintTracksLiveIsolines pins the state's memory
+// bound: after every round of a drifting run, the nodes holding a map are
+// exactly the nodes tracking at least one level. A node whose last level
+// retired must not keep an empty map, or the state would grow with every
+// node an isoline ever crossed.
+func TestDeltaStateFootprintTracksLiveIsolines(t *testing.T) {
+	tree, f, q := fullRoundSetup(t, 300)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	dyn, err := field.NewTemporal("drift", f, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		ds, err := NewDeltaState(tree.Network().Len(), DeltaConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		everTracked := make(map[network.NodeID]bool)
+		retired := 0
+		for round := 1; round <= 8; round++ {
+			res, err := RunFullRoundDeltaSharded(tree, dyn.At(float64(round)*0.5), q, fc, cfg, nil, ds, shards, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retired += res.Retired
+			for i, m := range ds.lastSent {
+				id := network.NodeID(i)
+				if (m != nil) != (ds.trackedAt(id) > 0) {
+					t.Fatalf("shards=%d round %d: node %d holds map=%t with %d tracked levels",
+						shards, round, i, m != nil, ds.trackedAt(id))
+				}
+				if m != nil {
+					everTracked[id] = true
+				}
+			}
+		}
+		live := 0
+		for _, m := range ds.lastSent {
+			if m != nil {
+				live++
+			}
+		}
+		if retired == 0 || live == len(everTracked) {
+			t.Fatalf("shards=%d: run retired %d levels and dropped no map (%d live, %d ever tracked); drift too slow to exercise the bound",
+				shards, retired, live, len(everTracked))
+		}
+	}
+}
+
 // TestDeltaTraceInvariants runs the invariant oracle on delta rounds
 // over a drifting field: frame conservation, time order and sink
 // accounting must hold for the delta vocabulary too (retire records

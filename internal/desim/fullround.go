@@ -464,10 +464,15 @@ func (sh *roundShard) deltaFilter(id network.NodeID, reports []core.Report) []co
 }
 
 // deltaRetireOne withdraws one tracked isolevel: it deletes the entry,
-// tallies the retirement and returns the withdrawal record.
+// tallies the retirement and returns the withdrawal record. A node whose
+// last level retires drops its map, so the state's footprint follows the
+// live isolines rather than every node an isoline ever crossed.
 func (sh *roundShard) deltaRetireOne(id network.NodeID, last map[int]core.Report, li int, now float64) core.Report {
 	prev := last[li]
 	delete(last, li)
+	if len(last) == 0 {
+		sh.rs.delta.lastSent[id] = nil
+	}
 	sh.res.Retired++
 	if sh.rec != nil {
 		// A retirement is a crossing too — the isoline moved past the node
