@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"isomap/internal/core"
+	"isomap/internal/faults"
 	"isomap/internal/field"
 	"isomap/internal/network"
 	"isomap/internal/routing"
@@ -147,6 +148,47 @@ func BenchmarkFullRoundSharded(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFullRoundFaulted is the served faulted round: 4k nodes on four
+// grid shards under Bernoulli loss 0.05 and 5% mid-round crashes, the
+// plan the continuous-monitoring round source builds. Every iteration
+// builds a fresh plan, so the per-link loss streams are created inside
+// the timed region, as they are in service. Its ns/event against
+// BenchmarkFullRoundSharded's is the cost of the fault layer.
+func BenchmarkFullRoundFaulted(b *testing.B) {
+	const n, shards = 4000, 4
+	tree, f, q := benchRoundSetup(b, n)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	cfg.FrameDeadline = 1.5
+	part := network.NewGridPartition(tree.Network(), shards)
+	b.Run(fmt.Sprintf("%s/shards=%d", kLabel(n), shards), func(b *testing.B) {
+		b.ReportAllocs()
+		var events int64
+		for i := 0; i < b.N; i++ {
+			plan, err := faults.New(faults.Config{
+				Seed: int64(i) + 1, Channel: faults.ChannelBernoulli, LossRate: 0.05,
+				CrashFraction: 0.05, CrashStart: 0.05, CrashEnd: 0.6,
+				Protect: []network.NodeID{tree.Root()},
+			}, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := RunFullRoundFaultsEngine(NewShardedEngine(part, 0), tree, f, q, fc, cfg, plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Delivered) == 0 {
+				b.Fatal("round delivered nothing")
+			}
+			events += res.Events
+		}
+		b.StopTimer()
+		if events > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		}
+	})
 }
 
 // BenchmarkFullRoundNaive is the same round on the EngineNaive reference
