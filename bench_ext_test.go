@@ -104,7 +104,7 @@ func BenchmarkFullPacketRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := desim.RunFullRound(env.Tree, env.Field, env.Query, core.DefaultFilterConfig(), desim.DefaultRadioConfig())
+		res, err := desim.RunRound(desim.RoundSpec{Tree: env.Tree, Field: env.Field, Query: env.Query, Filter: core.DefaultFilterConfig(), Radio: desim.DefaultRadioConfig()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -294,9 +294,13 @@ func runDesim(out string, smoke bool) error {
 			return err
 		}
 
+		round := func(eng desim.EngineAPI) (*desim.RoundResult, error) {
+			return desim.RunRound(desim.RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Engine: eng})
+		}
+
 		// One instrumented round for the event count and peak queue depth.
 		eng := desim.NewEngine()
-		probe, err := desim.RunFullRoundEngine(eng, tree, f, q, fc, cfg)
+		probe, err := round(eng)
 		if err != nil {
 			return err
 		}
@@ -311,7 +315,7 @@ func runDesim(out string, smoke bool) error {
 			PeakQueueDepth: iptr(eng.MaxQueueDepth()),
 		}
 		e.NsPerOp, e.AllocsPerOp = measureAllocs(func() {
-			if _, err := desim.RunFullRound(tree, f, q, fc, cfg); err != nil {
+			if _, err := round(nil); err != nil {
 				panic(err)
 			}
 		})
@@ -319,7 +323,7 @@ func runDesim(out string, smoke bool) error {
 		e.EventsPerSec = fptr(float64(probe.Events) / (e.NsPerOp / 1e9))
 		if naiveSizes[n] {
 			naiveNs, naiveAllocs := measureAllocs(func() {
-				if _, err := desim.RunFullRoundEngine(desim.NewEngineNaive(), tree, f, q, fc, cfg); err != nil {
+				if _, err := round(desim.NewEngineNaive()); err != nil {
 					panic(err)
 				}
 			})
@@ -395,7 +399,7 @@ func runDesim(out string, smoke bool) error {
 						eng = desim.NewShardedEngine(part, procs)
 					}
 					start := time.Now()
-					if _, err := desim.RunFullRoundEngine(eng, tree, f, q, fc, cfg); err != nil {
+					if _, err := desim.RunRound(desim.RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Engine: eng}); err != nil {
 						return err
 					}
 					if s := time.Since(start).Seconds(); s < best {
@@ -508,7 +512,7 @@ func runTraceScenario(sc traceScenario) (traceEntry, error) {
 		cfg.FrameDeadline = 1.5
 	}
 	rec := trace.NewRecorder(sc.nodes * 1024)
-	pr, err := desim.RunFullRoundFaultsTraced(tree, f, q, fc, cfg, plan, rec)
+	pr, err := desim.RunRound(desim.RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Plan: plan, Trace: rec})
 	if err != nil {
 		return traceEntry{}, err
 	}

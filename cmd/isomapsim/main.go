@@ -274,12 +274,12 @@ func run() error {
 		if *roundtr != "" {
 			rec = rtrace.NewRecorder(traceCapacity(*nodes))
 		}
-		var pr *desim.RoundResult
+		var eng desim.EngineAPI
 		if *shards > 1 {
-			pr, err = desim.RunFullRoundShardedTraced(env.Tree, env.Field, env.Query, fc, rcfg, plan, *shards, *workers, rec)
-		} else {
-			pr, err = desim.RunFullRoundFaultsTraced(env.Tree, env.Field, env.Query, fc, rcfg, plan, rec)
+			eng = desim.NewShardedEngine(network.NewGridPartition(env.Network, *shards), *workers)
 		}
+		pr, err := desim.RunRound(desim.RoundSpec{Tree: env.Tree, Field: env.Field, Query: env.Query,
+			Filter: fc, Radio: rcfg, Plan: plan, Engine: eng, Trace: rec})
 		if err != nil {
 			return err
 		}

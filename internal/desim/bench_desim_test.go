@@ -57,7 +57,7 @@ func benchFullRound(b *testing.B, n int, mk func() EngineAPI) {
 	b.ResetTimer()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunFullRoundEngine(mk(), tree, f, q, fc, cfg)
+		res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Engine: mk()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFullRoundTraced(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec.Reset()
-				res, err := RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, nil, rec)
+				res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Trace: rec})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func BenchmarkFullRoundSharded(b *testing.B) {
 			b.ResetTimer()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				res, err := RunFullRoundEngine(NewShardedEngine(part, 0), tree, f, q, fc, cfg)
+				res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Engine: NewShardedEngine(part, 0)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func BenchmarkFullRoundFaulted(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := RunFullRoundFaultsEngine(NewShardedEngine(part, 0), tree, f, q, fc, cfg, plan)
+			res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Plan: plan, Engine: NewShardedEngine(part, 0)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -75,7 +75,7 @@ func TestDeltaStaticFieldEquivalence(t *testing.T) {
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
 
-	full, err := RunFullRound(tree, f, q, fc, cfg)
+	full, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	retired := 0
 	for round := 1; round <= 4; round++ {
 		snap := dyn.At(float64(round) * 0.5)
-		seq, err := RunFullRoundDelta(tree, snap, q, fc, cfg, nil, dsSeq, nil)
+		seq, err := RunRound(RoundSpec{Tree: tree, Field: snap, Query: q, Filter: fc, Radio: cfg, Delta: dsSeq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard, err := RunFullRoundDeltaSharded(tree, snap, q, fc, cfg, nil, dsShard, 4, 0, nil)
+		shard, err := RunRound(RoundSpec{Tree: tree, Field: snap, Query: q, Filter: fc, Radio: cfg, Delta: dsShard, Engine: gridEngine(tree, 4, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestDeltaStateFootprintTracksLiveIsolines(t *testing.T) {
 		everTracked := make(map[network.NodeID]bool)
 		retired := 0
 		for round := 1; round <= 8; round++ {
-			res, err := RunFullRoundDeltaSharded(tree, dyn.At(float64(round)*0.5), q, fc, cfg, nil, ds, shards, 0, nil)
+			res, err := RunRound(RoundSpec{Tree: tree, Field: dyn.At(float64(round) * 0.5), Query: q, Filter: fc, Radio: cfg, Delta: ds, Engine: gridEngine(tree, shards, 0)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +268,7 @@ func TestDeltaTraceInvariants(t *testing.T) {
 	var crossings, suppressed int64
 	for round := 1; round <= 3; round++ {
 		rec := traceRecorderFor(300)
-		if _, err := RunFullRoundDelta(tree, dyn.At(float64(round)*0.5), q, fc, cfg, nil, ds, rec); err != nil {
+		if _, err := RunRound(RoundSpec{Tree: tree, Field: dyn.At(float64(round) * 0.5), Query: q, Filter: fc, Radio: cfg, Delta: ds, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
 		if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
@@ -313,7 +313,7 @@ func TestDeltaTraceInvariantsSeededFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := traceRecorderFor(300)
-			if _, err := RunFullRoundDelta(tree, dyn.At(float64(round)*0.5), q, fc, cfg, plan, ds, rec); err != nil {
+			if _, err := RunRound(RoundSpec{Tree: tree, Field: dyn.At(float64(round) * 0.5), Query: q, Filter: fc, Radio: cfg, Plan: plan, Delta: ds, Trace: rec}); err != nil {
 				t.Fatal(err)
 			}
 			if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
@@ -362,13 +362,11 @@ func TestGoldenDeltaTrace1k(t *testing.T) {
 			t.Fatal(err)
 		}
 		round := func(n int, rec *trace.Recorder) {
-			snap := dyn.At(float64(n) * 0.5)
+			spec := RoundSpec{Tree: tree, Field: dyn.At(float64(n) * 0.5), Query: q, Filter: fc, Radio: cfg, Delta: ds, Trace: rec}
 			if sharded {
-				_, err = RunFullRoundDeltaSharded(tree, snap, q, fc, cfg, nil, ds, 8, 0, rec)
-			} else {
-				_, err = RunFullRoundDelta(tree, snap, q, fc, cfg, nil, ds, rec)
+				spec.Engine = gridEngine(tree, 8, 0)
 			}
-			if err != nil {
+			if _, err := RunRound(spec); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package desim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"isomap/internal/core"
@@ -36,7 +37,7 @@ func fullRoundSetup(t *testing.T, n int) (*routing.Tree, field.Field, core.Query
 
 func TestRunFullRound(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 900)
-	res, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: core.DefaultFilterConfig(), Radio: DefaultRadioConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,19 +71,47 @@ func TestRunFullRound(t *testing.T) {
 	}
 }
 
-func TestRunFullRoundNilTree(t *testing.T) {
-	if _, err := RunFullRound(nil, nil, core.Query{}, core.FilterConfig{}, DefaultRadioConfig()); err == nil {
+// TestRunRoundRejects pins the round's input validation and the checks
+// the deprecated delta wrappers add on top of it.
+func TestRunRoundRejects(t *testing.T) {
+	tree, f, q := fullRoundSetup(t, 100)
+	fc, cfg := core.DefaultFilterConfig(), DefaultRadioConfig()
+	if _, err := RunRound(RoundSpec{Radio: cfg}); err == nil {
+		t.Error("want error for nil tree")
+	}
+	ds, err := NewDeltaState(tree.Network().Len()+1, DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Delta: ds}); err == nil ||
+		!strings.Contains(err.Error(), "delta state built for") {
+		t.Errorf("want delta node-count mismatch error, got %v", err)
+	}
+	if _, err := RunFullRoundDelta(tree, f, q, fc, cfg, nil, nil, nil); err == nil {
+		t.Error("want error for a delta round without DeltaState")
+	}
+	ds, err = NewDeltaState(tree.Network().Len(), DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFullRoundDeltaSharded(tree, f, q, fc, cfg, nil, ds, 0, 1, nil); err == nil {
+		t.Error("want error for shard count 0")
+	}
+	if _, err := RunFullRoundDeltaSharded(tree, f, q, fc, cfg, nil, nil, 4, 1, nil); err == nil {
+		t.Error("want error for a sharded delta round without DeltaState")
+	}
+	if _, err := RunFullRoundDeltaSharded(nil, f, q, fc, cfg, nil, ds, 4, 1, nil); err == nil {
 		t.Error("want error for nil tree")
 	}
 }
 
 func TestRunFullRoundDeterministic(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 400)
-	r1, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	r1, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: core.DefaultFilterConfig(), Radio: DefaultRadioConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	r2, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: core.DefaultFilterConfig(), Radio: DefaultRadioConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func TestTracedRoundMatchesUntraced(t *testing.T) {
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
 
-	plain, err := RunFullRound(tree, f, q, fc, cfg)
+	plain, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := traceRecorderFor(300)
-	traced, err := RunFullRoundTraced(tree, f, q, fc, cfg, rec)
+	traced, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFullRoundTraceInvariants(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 400)
 	cfg := DefaultRadioConfig()
 	rec := traceRecorderFor(400)
-	res, err := RunFullRoundTraced(tree, f, q, core.DefaultFilterConfig(), cfg, rec)
+	res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: core.DefaultFilterConfig(), Radio: cfg, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFullRoundTraceInvariantsSeededFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := traceRecorderFor(400)
-		res, err := RunFullRoundFaultsTraced(tree, f, q, fc, cfg, plan, rec)
+		res, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Plan: plan, Trace: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestGoldenTrace1k(t *testing.T) {
 
 	run := func(eng EngineAPI) *trace.Recorder {
 		rec := traceRecorderFor(1000)
-		if _, err := RunFullRoundFaultsEngineTraced(eng, tree, f, q, fc, cfg, nil, rec); err != nil {
+		if _, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Engine: eng, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
 		if rec.Dropped() > 0 {
@@ -197,7 +197,7 @@ func TestGoldenTrace1k(t *testing.T) {
 			defer wg.Done()
 			rec := traceRecorderFor(1000)
 			s := setups[i]
-			if _, err := RunFullRoundFaultsEngineTraced(NewEngine(), s.tree, s.f, s.q, fc, cfg, nil, rec); err != nil {
+			if _, err := RunRound(RoundSpec{Tree: s.tree, Field: s.f, Query: s.q, Filter: fc, Radio: cfg, Trace: rec}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -266,7 +266,7 @@ func TestGoldenFaultedTrace1k(t *testing.T) {
 					t.Fatal(err)
 				}
 				rec := traceRecorderFor(1000)
-				if _, err := RunFullRoundFaultsEngineTraced(eng, tree, f, q, fc, cfg, plan, rec); err != nil {
+				if _, err := RunRound(RoundSpec{Tree: tree, Field: f, Query: q, Filter: fc, Radio: cfg, Plan: plan, Engine: eng, Trace: rec}); err != nil {
 					t.Fatal(err)
 				}
 				if rec.Dropped() > 0 {

@@ -303,7 +303,7 @@ func (nw *Network) FailFractionExcluding(fraction float64, seed int64, keep ...N
 // owns. Round-scoped mutations must also stay round-scoped: a protocol
 // round that marks nodes Failed (crash faults) must restore them before
 // returning, or same-seed clones diverge on later rounds (see
-// desim.RunFullRoundFaultsEngineTraced's crash restore).
+// desim.RunRound's crash restore).
 func (nw *Network) Clone() *Network {
 	nodes := make([]Node, len(nw.nodes))
 	copy(nodes, nw.nodes)

@@ -143,7 +143,7 @@ func (r *Runner) faultBaseline(seed int64) (*faultBaseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := desim.RunFullRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig())
+	res, err := desim.RunRound(desim.RoundSpec{Tree: env.Tree, Field: env.Field, Query: env.Query, Filter: *env.Scenario.Filter, Radio: faultRadioConfig()})
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func (r *Runner) faultCell(p FaultPoint, point int, seed int64, base *faultBasel
 	if err != nil {
 		return nil, err
 	}
-	res, err := desim.RunFullRoundFaults(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig(), plan)
+	res, err := desim.RunRound(desim.RoundSpec{Tree: env.Tree, Field: env.Field, Query: env.Query, Filter: *env.Scenario.Filter, Radio: faultRadioConfig(), Plan: plan})
 	if err != nil {
 		return nil, err
 	}

@@ -173,10 +173,7 @@ func (rs *RoundSource) Next() (*RoundData, error) {
 	rd := &RoundData{Round: rs.round, T: t}
 
 	faulted := rs.FaultEvery > 0 && rs.round%rs.FaultEvery == 0
-	if rs.Delta {
-		return rs.nextDelta(f, rd, faulted)
-	}
-	if faulted || rs.PacketRounds {
+	if rs.Delta || faulted || rs.PacketRounds {
 		return rs.nextPacket(f, rd, faulted)
 	}
 
@@ -222,34 +219,11 @@ func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig,
 	return plan, cfg, nil
 }
 
-// nextPacket runs one full-report round on the packet engine.
+// nextPacket runs one round on the packet engine. In delta mode it is a
+// delta-report round whose deliveries fold into the sink's aged belief;
+// otherwise the sink keeps exactly the round's deliveries.
 func (rs *RoundSource) nextPacket(f field.Field, rd *RoundData, faulted bool) (*RoundData, error) {
-	plan, cfg, err := rs.roundPlan(faulted)
-	if err != nil {
-		return nil, err
-	}
-	var res *desim.RoundResult
-	if rs.Shards > 1 {
-		res, err = desim.RunFullRoundShardedTraced(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.Shards, rs.Workers, nil)
-	} else {
-		res, err = desim.RunFullRoundFaults(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: round %d faulted=%v: %w", rs.round, faulted, err)
-	}
-	rd.Reports = res.Delivered
-	rd.SinkValue = rs.Env.Network.Node(rs.Env.Tree.Root()).Value
-	rd.Faulted = faulted
-	rd.Crashed = res.Crashed
-	rd.DataFrames = int64(res.Radio.DataSent)
-	rd.TxBytes = res.Counters.TotalTxBytes()
-	return rd, nil
-}
-
-// nextDelta runs one delta-report round on the packet engine and folds
-// the deliveries into the sink's aged belief.
-func (rs *RoundSource) nextDelta(f field.Field, rd *RoundData, faulted bool) (*RoundData, error) {
-	if rs.delta == nil {
+	if rs.Delta && rs.delta == nil {
 		ds, err := desim.NewDeltaState(rs.Env.Network.Len(), desim.DeltaConfig{GradAngle: rs.DeltaGradAngle})
 		if err != nil {
 			return nil, fmt.Errorf("sim: delta state: %w", err)
@@ -264,29 +238,34 @@ func (rs *RoundSource) nextDelta(f field.Field, rd *RoundData, faulted bool) (*R
 	if err != nil {
 		return nil, err
 	}
-	var res *desim.RoundResult
+	var eng desim.EngineAPI
 	if rs.Shards > 1 {
-		res, err = desim.RunFullRoundDeltaSharded(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.delta, rs.Shards, rs.Workers, nil)
-	} else {
-		res, err = desim.RunFullRoundDelta(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.delta, nil)
+		eng = desim.NewShardedEngine(network.NewGridPartition(rs.Env.Tree.Network(), rs.Shards), rs.Workers)
 	}
+	res, err := desim.RunRound(desim.RoundSpec{
+		Tree: rs.Env.Tree, Field: f, Query: rs.Env.Query, Filter: *rs.Env.Scenario.Filter,
+		Radio: cfg, Plan: plan, Delta: rs.delta, Engine: eng,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sim: round %d delta: %w", rs.round, err)
+		return nil, fmt.Errorf("sim: round %d faulted=%v delta=%v: %w", rs.round, faulted, rs.Delta, err)
 	}
-	st := rs.aged.Apply(rs.round, res.Delivered, nil)
-	rd.Reports = rs.aged.Reports()
+	rd.Reports = res.Delivered
 	rd.SinkValue = rs.Env.Network.Node(rs.Env.Tree.Root()).Value
 	rd.Faulted = faulted
 	rd.Crashed = res.Crashed
 	rd.DataFrames = int64(res.Radio.DataSent)
 	rd.TxBytes = res.Counters.TotalTxBytes()
-	rd.Delta = &DeltaRoundStats{
-		Crossings:     res.Crossings,
-		Suppressed:    res.Suppressed,
-		Retired:       res.Retired,
-		Expired:       st.Expired,
-		MapReports:    st.Size,
-		MeanAgeRounds: rs.aged.MeanAge(rs.round),
+	if rs.delta != nil {
+		st := rs.aged.Apply(rs.round, res.Delivered, nil)
+		rd.Reports = rs.aged.Reports()
+		rd.Delta = &DeltaRoundStats{
+			Crossings:     res.Crossings,
+			Suppressed:    res.Suppressed,
+			Retired:       res.Retired,
+			Expired:       st.Expired,
+			MapReports:    st.Size,
+			MeanAgeRounds: rs.aged.MeanAge(rs.round),
+		}
 	}
 	return rd, nil
 }
