@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"isomap/internal/geom"
 	"isomap/internal/network"
@@ -34,6 +35,26 @@ type Report struct {
 // String implements fmt.Stringer.
 func (r Report) String() string {
 	return fmt.Sprintf("report{v=%.3g p=%v d=%v from=%d}", r.Level, r.Pos, r.Grad, r.Source)
+}
+
+// Finite reports whether every number the report carries (level,
+// position, gradient) is finite.
+func (r Report) Finite() bool {
+	for _, v := range [...]float64{r.Level, r.Pos.X, r.Pos.Y, r.Grad.X, r.Grad.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// SourceLevelLess orders reports by (Source, LevelIndex): the canonical
+// order of per-(source, isolevel) report sets such as the sink's belief.
+func SourceLevelLess(a, b Report) bool {
+	if a.Source != b.Source {
+		return a.Source < b.Source
+	}
+	return a.LevelIndex < b.LevelIndex
 }
 
 // AngularSeparation returns s_a: the unsigned angle between the gradient

@@ -3,6 +3,7 @@ package desim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"isomap/internal/core"
 	"isomap/internal/network"
@@ -104,4 +105,53 @@ func retireRecord(prev core.Report) core.Report {
 		Source:     prev.Source,
 		Retire:     true,
 	}
+}
+
+// Export returns every tracked report — each node's last transmission per
+// isolevel — as one flat list sorted by (source, levelIndex): the
+// deterministic, checkpointable form of the state.
+func (ds *DeltaState) Export() []core.Report {
+	out := make([]core.Report, 0, ds.Tracked())
+	for _, last := range ds.lastSent {
+		first := len(out)
+		for _, r := range last {
+			out = append(out, r)
+		}
+		node := out[first:]
+		sort.Slice(node, func(i, j int) bool { return node[i].LevelIndex < node[j].LevelIndex })
+	}
+	return out
+}
+
+// Import replaces the state with an Export list. It rejects (leaving the
+// state untouched) a list that Export could not have produced: a source
+// outside the deployment, a negative level index, a retirement record, a
+// non-finite value, or entries out of (source, levelIndex) order or
+// duplicated. Level indices are not checked against a query; the caller
+// knows it.
+func (ds *DeltaState) Import(sent []core.Report) error {
+	for i, r := range sent {
+		switch {
+		case r.Source < 0 || int(r.Source) >= len(ds.lastSent):
+			return fmt.Errorf("desim: delta import: entry %d: source %d outside [0,%d)", i, r.Source, len(ds.lastSent))
+		case r.LevelIndex < 0:
+			return fmt.Errorf("desim: delta import: entry %d: negative level index %d", i, r.LevelIndex)
+		case r.Retire:
+			return fmt.Errorf("desim: delta import: entry %d: retirement record", i)
+		case !r.Finite():
+			return fmt.Errorf("desim: delta import: entry %d: non-finite value", i)
+		case i > 0 && !core.SourceLevelLess(sent[i-1], r):
+			return fmt.Errorf("desim: delta import: entry %d (source %d, level %d) out of order or duplicated", i, r.Source, r.LevelIndex)
+		}
+	}
+	ds.Reset()
+	for _, r := range sent {
+		last := ds.lastSent[r.Source]
+		if last == nil {
+			last = make(map[int]core.Report)
+			ds.lastSent[r.Source] = last
+		}
+		last[r.LevelIndex] = r
+	}
+	return nil
 }

@@ -111,13 +111,51 @@ func (m *AgedMap) Reports() []core.Report {
 	for _, e := range m.entries {
 		out = append(out, e.report)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].LevelIndex < out[j].LevelIndex
-	})
+	sort.Slice(out, func(i, j int) bool { return core.SourceLevelLess(out[i], out[j]) })
 	return out
+}
+
+// AgedEntry is one belief entry in checkpointable form: the report and
+// the round that last refreshed it.
+type AgedEntry struct {
+	core.Report
+	Refreshed int `json:"refreshed"`
+}
+
+// Export returns the belief with its refresh rounds, sorted by (source,
+// isolevel): the deterministic, checkpointable form of the map.
+func (m *AgedMap) Export() []AgedEntry {
+	out := make([]AgedEntry, 0, len(m.entries))
+	for _, e := range m.entries {
+		out = append(out, AgedEntry{Report: e.report, Refreshed: e.round})
+	}
+	sort.Slice(out, func(i, j int) bool { return core.SourceLevelLess(out[i].Report, out[j].Report) })
+	return out
+}
+
+// Import replaces the belief with an Export list taken after round
+// (the last completed round). It rejects (leaving the belief untouched)
+// a list that Export could not have produced then: a retirement record,
+// a non-finite value, a refresh round outside [1, round], or entries out
+// of (source, isolevel) order or duplicated.
+func (m *AgedMap) Import(entries []AgedEntry, round int) error {
+	for i, e := range entries {
+		switch {
+		case e.Retire:
+			return fmt.Errorf("monitor: aged import: entry %d: retirement record", i)
+		case !e.Finite():
+			return fmt.Errorf("monitor: aged import: entry %d: non-finite value", i)
+		case e.Refreshed < 1 || e.Refreshed > round:
+			return fmt.Errorf("monitor: aged import: entry %d: refresh round %d outside [1,%d]", i, e.Refreshed, round)
+		case i > 0 && !core.SourceLevelLess(entries[i-1].Report, e.Report):
+			return fmt.Errorf("monitor: aged import: entry %d (source %d, level %d) out of order or duplicated", i, e.Source, e.LevelIndex)
+		}
+	}
+	m.entries = make(map[cacheKey]agedEntry, len(entries))
+	for _, e := range entries {
+		m.entries[cacheKey{source: e.Source, level: e.LevelIndex}] = agedEntry{report: e.Report, round: e.Refreshed}
+	}
+	return nil
 }
 
 // Len returns the belief size.

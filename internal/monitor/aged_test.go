@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -133,6 +134,80 @@ func TestAgedMapExpiryOrder(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Node < evs[i-1].Node {
 			t.Fatalf("expiry order not sorted: node %d after %d", evs[i].Node, evs[i-1].Node)
+		}
+	}
+}
+
+// TestAgedMapExportImport: Export is sorted with refresh rounds, and an
+// imported belief behaves exactly like the exported one from then on —
+// same reports, same staleness, same expiries.
+func TestAgedMapExportImport(t *testing.T) {
+	orig, err := NewAgedMap(AgedConfig{ExpiryRounds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig.Apply(1, []core.Report{agedReport(5, 0, 6), agedReport(2, 1, 8), agedReport(2, 0, 6)}, nil)
+	orig.Apply(2, []core.Report{agedReport(2, 1, 8), retireReport(2, 0)}, nil)
+	exp := orig.Export()
+	want := []AgedEntry{{agedReport(2, 1, 8), 2}, {agedReport(5, 0, 6), 1}}
+	if !reflect.DeepEqual(exp, want) {
+		t.Fatalf("export = %+v, want %+v", exp, want)
+	}
+	imp, err := NewAgedMap(AgedConfig{ExpiryRounds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := imp.Import(exp, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(imp.Export(), exp) || imp.MeanAge(2) != orig.MeanAge(2) {
+		t.Fatal("imported belief differs from the exported one")
+	}
+	for round := 3; round <= 5; round++ {
+		batch := []core.Report{agedReport(network.NodeID(round), 0, 6)}
+		if a, b := orig.Apply(round, batch, nil), imp.Apply(round, batch, nil); a != b {
+			t.Fatalf("round %d: stats %+v vs %+v", round, a, b)
+		}
+		if !reflect.DeepEqual(orig.Reports(), imp.Reports()) {
+			t.Fatalf("round %d: beliefs diverged", round)
+		}
+	}
+}
+
+// TestAgedMapImportRejects: Import refuses every list Export could not
+// have produced after the given round and leaves the belief untouched.
+func TestAgedMapImportRejects(t *testing.T) {
+	entry := func(src, li, refreshed int) AgedEntry {
+		return AgedEntry{agedReport(network.NodeID(src), li, 6), refreshed}
+	}
+	good := []AgedEntry{entry(1, 0, 3), entry(1, 1, 4), entry(3, 0, 4)}
+	nan := entry(5, 0, 2)
+	nan.Level = math.NaN()
+	inf := entry(5, 0, 2)
+	inf.Grad.X = math.Inf(1)
+	retire := entry(5, 0, 2)
+	retire.Retire = true
+	for name, entries := range map[string][]AgedEntry{
+		"retirement":        {retire},
+		"NaN level":         {nan},
+		"infinite gradient": {inf},
+		"refresh after":     {entry(1, 0, 5)},
+		"refresh zero":      {entry(1, 0, 0)},
+		"duplicate":         {entry(1, 0, 3), entry(1, 0, 3)},
+		"unsorted":          {entry(3, 0, 3), entry(1, 0, 3)},
+	} {
+		m, err := NewAgedMap(AgedConfig{ExpiryRounds: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Import(good, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Import(entries, 4); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !reflect.DeepEqual(m.Export(), good) {
+			t.Errorf("%s: rejected import changed the belief", name)
 		}
 	}
 }

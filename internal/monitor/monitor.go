@@ -199,12 +199,7 @@ func (m *Monitor) Round(f field.Field) (*RoundStats, error) {
 	}
 	// Map iteration is randomized; fix the order so reconstructions are
 	// reproducible.
-	sort.Slice(believed, func(i, j int) bool {
-		if believed[i].Source != believed[j].Source {
-			return believed[i].Source < believed[j].Source
-		}
-		return believed[i].LevelIndex < believed[j].LevelIndex
-	})
+	sort.Slice(believed, func(i, j int) bool { return core.SourceLevelLess(believed[i], believed[j]) })
 	sinkValue := nw.Node(m.tree.Root()).Value
 	mp := contour.Reconstruct(believed, m.cfg.Query.Levels,
 		nw.Bounds(), sinkValue, m.cfg.Options)

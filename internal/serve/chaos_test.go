@@ -156,8 +156,8 @@ func TestChaosSoak(t *testing.T) {
 							return
 						}
 					}
-				case http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-					// Superseded, shed, or pre-first-round: legitimate.
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					// Shed, or pre-first-round: legitimate.
 				default:
 					reportErr("raster status %d: %s", resp.StatusCode, body)
 					return

@@ -10,15 +10,20 @@ import (
 
 	"isomap/internal/contour"
 	"isomap/internal/core"
+	"isomap/internal/sim"
 )
 
 // checkpointDoc is the on-disk per-deployment checkpoint. Determinism
-// makes it tiny: rounds are memoryless given the deployment's scenario
-// (sim.RoundSource.SeekRound), so the resumable state is the round
-// counter, the published version counter, and the engine's arranged
-// report order — from which contour.Resync rebuilds a byte-identical
-// engine. A restarted server therefore serves snapshots (ETags, raster
-// bytes, polylines) identical to a never-restarted same-seed run.
+// keeps it small: a round is a pure function of the deployment's scenario,
+// the round number and the cross-round protocol state, so the resumable
+// state is the round counter, the published version counter, the round
+// source's protocol state (sim.SourceState: in delta mode each node's
+// transmitted-report memory and the sink's aged belief; nothing else in
+// full-report mode) and the engine's arranged report order — from which
+// contour.Resync rebuilds a byte-identical engine. A restarted server
+// therefore serves snapshots (ETags, raster bytes, polylines) identical
+// to a never-restarted same-seed run, and restoring costs O(state), not
+// O(rounds since boot).
 type checkpointDoc struct {
 	// ID, Nodes, Seed and FaultEvery identify the deployment the
 	// checkpoint belongs to; restore refuses a checkpoint whose identity
@@ -45,6 +50,12 @@ type checkpointDoc struct {
 	SinkValue float64       `json:"sinkValue"`
 	Reports   int           `json:"reports"`
 	Faulted   bool          `json:"faulted"`
+
+	// Source is the round source's resumable state at Round, written under
+	// the same lock as Arranged. Checkpoints written before it existed
+	// omit it; a delta deployment restores those by replaying rounds
+	// 1..Round (sim.RoundSource.SeekRound).
+	Source *sim.SourceState `json:"source,omitempty"`
 }
 
 func (s *Server) checkpointPath(id string) string {
@@ -52,9 +63,10 @@ func (s *Server) checkpointPath(id string) string {
 }
 
 // writeCheckpoint persists the deployment's resumable state; called with
-// d.mu held, immediately after a publish, so the engine provably backs
-// sn. The write is atomic (temp file + rename): a crash mid-write leaves
-// the previous checkpoint intact, never a torn one.
+// d.roundMu and d.mu held, immediately after a publish, so the engine
+// provably backs sn and the round source has drawn nothing since. The
+// write is atomic (temp file + rename): a crash mid-write leaves the
+// previous checkpoint intact, never a torn one.
 func (s *Server) writeCheckpoint(d *deployment, sn *snapshot) error {
 	doc := checkpointDoc{
 		ID:         d.id,
@@ -69,6 +81,7 @@ func (s *Server) writeCheckpoint(d *deployment, sn *snapshot) error {
 		SinkValue:  sn.sinkValue,
 		Reports:    sn.reports,
 		Faulted:    sn.faulted,
+		Source:     d.src.State(),
 	}
 	if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
 		return err
@@ -93,12 +106,25 @@ func (s *Server) writeCheckpoint(d *deployment, sn *snapshot) error {
 	return os.Rename(tmp.Name(), s.checkpointPath(d.id))
 }
 
+// resumeSource positions a fresh round source at the checkpoint's source
+// state. The state's round must be the checkpoint's; sim.RoundSource.Resume
+// checks the rest and leaves the source untouched on error.
+func resumeSource(src *sim.RoundSource, doc checkpointDoc) error {
+	if doc.Source.Round != doc.Round {
+		return fmt.Errorf("source state at round %d, checkpoint at round %d", doc.Source.Round, doc.Round)
+	}
+	return src.Resume(doc.Source)
+}
+
 // restore resumes a freshly built deployment from its checkpoint, if one
-// exists. A missing checkpoint is a clean cold start. An unreadable or
-// internally invalid one is logged, counted and *ignored* — self-healing
-// beats refusing to boot — but a checkpoint whose identity (seed, node
-// count, fault cadence) contradicts the configuration is a hard error:
-// resuming it would silently serve a different deployment's data.
+// exists, without simulating a round: the round source resumes from the
+// checkpointed source state (a checkpoint without one replays instead).
+// A missing checkpoint is a clean cold start. An unreadable or
+// internally invalid one (source state included) is logged, counted and
+// *ignored* — self-healing beats refusing to boot — but a checkpoint
+// whose identity (seed, node count, fault cadence) contradicts the
+// configuration is a hard error: resuming it would silently serve a
+// different deployment's data.
 func (s *Server) restore(d *deployment) error {
 	b, err := os.ReadFile(s.checkpointPath(d.id))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -129,8 +155,14 @@ func (s *Server) restore(d *deployment) error {
 		s.logf("serve: %s checkpoint holds invalid reports, starting cold: %v", d.id, err)
 		return nil
 	}
-	if err := d.src.SeekRound(doc.Round); err != nil {
-		return err
+	if doc.Source == nil {
+		if err := d.src.SeekRound(doc.Round); err != nil {
+			return err
+		}
+	} else if err := resumeSource(d.src, doc); err != nil {
+		serveVars().Add("restore_errors", 1)
+		s.logf("serve: %s checkpoint holds invalid source state, starting cold: %v", d.id, err)
+		return nil
 	}
 	inc, m := contour.Resync(d.levels, d.bounds, d.opts, doc.Arranged, doc.SinkValue)
 	d.inc = inc

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,44 +25,54 @@ func fetch(t *testing.T, ts *httptest.Server, path string) (int, string, []byte)
 	return resp.StatusCode, resp.Header.Get("ETag"), b
 }
 
+// servingPaths are the query surfaces the restart tests compare.
+var servingPaths = []string{
+	"/v1/deployments/d0/levels/0/polyline",
+	"/v1/deployments/d0/levels/1/polyline",
+	"/v1/deployments/d0/classify?x=17.3&y=24.9",
+	"/v1/deployments/d0/range?x0=5&y0=5&x1=45&y1=45&rows=6&cols=6",
+	"/v1/deployments/d0/raster?rows=24&cols=24",
+	"/v1/deployments/d0/raster?rows=16&cols=16&format=pgm",
+}
+
+// fingerprint captures everything deployment d0 serves to clients: the
+// meta fields, the meta ETag, and the ETag and body bytes of every
+// servingPath (polyline JSON, raster JSON and PGM, classification). The
+// meta stats block is left out: it is engine-local diagnostics
+// (cumulative reuse counters), legitimately different after a restore.
+func fingerprint(t *testing.T, ts *httptest.Server) map[string]string {
+	t.Helper()
+	meta, resp := getMeta(t, ts, "d0")
+	out := map[string]string{"meta ETag": resp.Header.Get("ETag")}
+	for _, k := range []string{"etag", "version", "round", "reports", "sinkValue", "faulted", "state", "staleRounds"} {
+		out["meta "+k] = fmt.Sprint(meta[k])
+	}
+	for _, path := range servingPaths {
+		code, etag, body := fetch(t, ts, path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
+		}
+		out["ETag "+path] = etag
+		out["body "+path] = string(body)
+	}
+	return out
+}
+
+// samePrints asserts two fingerprints are identical.
+func samePrints(t *testing.T, want, got map[string]string, when string) {
+	t.Helper()
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: %s = %.60q, want %.60q", when, k, got[k], v)
+		}
+	}
+}
+
 // compareServing asserts two servers answer every query surface
-// byte-identically for one deployment: ETag, polyline JSON, raster JSON
-// and PGM bytes, classification.
+// byte-identically for one deployment.
 func compareServing(t *testing.T, a, b *httptest.Server, when string) {
 	t.Helper()
-	// Meta compares field-by-field: the stats block is engine-local
-	// diagnostics (cumulative reuse counters), legitimately different
-	// after a restore; everything served to clients must match.
-	ma, ra := getMeta(t, a, "d0")
-	mb, rb := getMeta(t, b, "d0")
-	for _, k := range []string{"etag", "version", "round", "reports", "sinkValue", "faulted", "state", "staleRounds"} {
-		if ma[k] != mb[k] {
-			t.Fatalf("%s: meta %q = %v vs %v", when, k, ma[k], mb[k])
-		}
-	}
-	if ra.Header.Get("ETag") != rb.Header.Get("ETag") {
-		t.Fatalf("%s: meta ETag %q vs %q", when, ra.Header.Get("ETag"), rb.Header.Get("ETag"))
-	}
-	for _, path := range []string{
-		"/v1/deployments/d0/levels/0/polyline",
-		"/v1/deployments/d0/levels/1/polyline",
-		"/v1/deployments/d0/classify?x=17.3&y=24.9",
-		"/v1/deployments/d0/range?x0=5&y0=5&x1=45&y1=45&rows=6&cols=6",
-		"/v1/deployments/d0/raster?rows=24&cols=24",
-		"/v1/deployments/d0/raster?rows=16&cols=16&format=pgm",
-	} {
-		ca, ea, ba := fetch(t, a, path)
-		cb, eb, bb := fetch(t, b, path)
-		if ca != cb || ca != http.StatusOK {
-			t.Fatalf("%s: GET %s status %d vs %d", when, path, ca, cb)
-		}
-		if ea != eb {
-			t.Fatalf("%s: GET %s ETag %q vs %q", when, path, ea, eb)
-		}
-		if string(ba) != string(bb) {
-			t.Fatalf("%s: GET %s bodies diverge (%d vs %d bytes)", when, path, len(ba), len(bb))
-		}
-	}
+	samePrints(t, fingerprint(t, a), fingerprint(t, b), when)
 }
 
 // TestCheckpointRestoreEquivalence is the kill-and-restart acceptance

@@ -95,10 +95,11 @@ type Config struct {
 	OracleRes int
 
 	// CheckpointDir, when set, persists a per-deployment checkpoint
-	// (round counter, published version, arranged reports) there, and
-	// NewServer restores deployments from any checkpoint it finds — a
-	// restarted server resumes serving byte-identical snapshots instead
-	// of losing every deployment back to round 0.
+	// (round counter, published version, arranged reports, round-source
+	// protocol state) there, and NewServer restores deployments from any
+	// checkpoint it finds — a restarted server resumes serving
+	// byte-identical snapshots instead of losing every deployment back to
+	// round 0.
 	CheckpointDir string
 	// CheckpointEvery checkpoints every Nth published version; zero
 	// selects 1 (every publish).
@@ -198,14 +199,26 @@ func (h depHealth) state() string {
 }
 
 // deployment is one monitored network: a round source feeding an
-// incremental engine. mu serializes ingest and engine access (the engine
-// is single-writer); published snapshots and health are read lock-free.
+// incremental engine. Two locks, taken in this order:
+//
+//   - roundMu serializes rounds: a simulated round's draw from src and its
+//     ingest, or a pushed batch's ingest, run as one step under it, so
+//     versions publish in round order and a checkpoint's round counter and
+//     source state always belong to its arranged reports. It guards src.
+//   - mu is the engine lock (the engine is single-writer): it guards inc,
+//     version, attempts and health writes, and is held only for the
+//     update, publish and checkpoint — never across a round's simulation,
+//     so a raster miss reading the engine does not wait one out.
+//
+// Published snapshots and health are read lock-free.
 type deployment struct {
 	id     string
 	levels field.Levels
 	bounds geom.Polygon
 	opts   contour.Options
 	src    *sim.RoundSource
+
+	roundMu sync.Mutex
 
 	mu sync.Mutex
 	// inc is the incremental engine; nil while quarantined (after a
@@ -519,7 +532,9 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request, d *deployme
 		err error
 	)
 	if pushed {
+		d.roundMu.Lock()
 		sn, err = s.ingest(d, body.Reports, body.SinkValue, 0, false)
+		d.roundMu.Unlock()
 	} else {
 		sn, err = s.advance(d)
 	}
@@ -538,6 +553,8 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request, d *deployme
 
 // advance runs one simulated churn round through the deployment.
 func (s *Server) advance(d *deployment) (*snapshot, error) {
+	d.roundMu.Lock()
+	defer d.roundMu.Unlock()
 	rd, err := s.nextRound(d)
 	if err != nil {
 		d.mu.Lock()
@@ -551,10 +568,9 @@ func (s *Server) advance(d *deployment) (*snapshot, error) {
 
 // nextRound draws the next simulated round, converting a round-source
 // panic into an error: the engine is untouched, so the failure costs one
-// stale round, not a quarantine.
+// stale round, not a quarantine. Called with d.roundMu held; the engine
+// lock is not taken, so queries keep reading the engine meanwhile.
 func (s *Server) nextRound(d *deployment) (rd *sim.RoundData, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			serveVars().Add("panics_recovered", 1)
@@ -569,7 +585,7 @@ func (s *Server) nextRound(d *deployment) (rd *sim.RoundData, err error) {
 // check (and any panic) happens before the publish, and a failed check
 // quarantines the engine rather than leaving it silently ahead of the
 // snapshot. A quarantined deployment resyncs here on its next round via
-// a full rebuild.
+// a full rebuild. Called with d.roundMu held.
 func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64, round int, faulted bool) (*snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

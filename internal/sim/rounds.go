@@ -90,10 +90,10 @@ func (rs *RoundSource) Round() int { return rs.round }
 //
 // Delta mode carries cross-round protocol state (each node's
 // transmitted-report memory, the sink's aged belief), so SeekRound
-// replays rounds 1..n from a reset state instead. The replay is
-// deterministic for the same reasons the rounds are, so a restored
-// serving checkpoint still resumes byte-identically — it just costs n
-// rounds of simulation.
+// replays rounds 1..n from a reset state instead, at the cost of n
+// rounds of simulation. Checkpoint restores resume from State instead
+// (see Resume); the replay stays as their byte-identical oracle and as
+// the restore path of checkpoints that carry no source state.
 func (rs *RoundSource) SeekRound(n int) error {
 	if n < 0 {
 		return fmt.Errorf("sim: SeekRound(%d): negative round", n)
@@ -115,6 +115,103 @@ func (rs *RoundSource) SeekRound(n int) error {
 		}
 	}
 	return nil
+}
+
+// SourceState is a RoundSource's resumable state: the completed-round
+// counter and, in delta mode, the cross-round protocol memory. It is
+// JSON-encodable and deterministic (both lists are sorted by source, then
+// level index), so equal sources export byte-identical states.
+type SourceState struct {
+	// Round is the number of completed rounds.
+	Round int `json:"round"`
+	// Nodes is the deployment size the delta memory belongs to (delta
+	// mode only).
+	Nodes int `json:"nodes,omitempty"`
+	// Sent is every node's last transmitted report per isolevel
+	// (desim.DeltaState.Export).
+	Sent []core.Report `json:"sent,omitempty"`
+	// Belief is the sink's aged belief with refresh rounds
+	// (monitor.AgedMap.Export).
+	Belief []monitor.AgedEntry `json:"belief,omitempty"`
+}
+
+// State exports the source's resumable state. Resume on a fresh source
+// over the same deployment continues the round stream byte-identically,
+// without simulating a round.
+func (rs *RoundSource) State() *SourceState {
+	st := &SourceState{Round: rs.round}
+	if !rs.Delta {
+		return st
+	}
+	st.Nodes = rs.Env.Network.Len()
+	if rs.delta != nil {
+		st.Sent = rs.delta.Export()
+		st.Belief = rs.aged.Export()
+	}
+	return st
+}
+
+// Resume positions the source at st, a State export, so the next Next()
+// runs round st.Round+1 exactly as the exporting source's would. Its cost
+// is the size of st, not st.Round. A state that the source could not
+// have exported — protocol memory outside delta mode, a different node
+// count, a source or level index outside the deployment and query, a
+// non-finite value, a refresh round after st.Round — is an error, and
+// leaves the source untouched.
+func (rs *RoundSource) Resume(st *SourceState) error {
+	if st == nil || st.Round < 0 {
+		return fmt.Errorf("sim: Resume: missing state or negative round")
+	}
+	if !rs.Delta {
+		if st.Nodes != 0 || len(st.Sent) > 0 || len(st.Belief) > 0 {
+			return fmt.Errorf("sim: Resume: delta protocol state for a full-report source")
+		}
+		rs.round = st.Round
+		return nil
+	}
+	if n := rs.Env.Network.Len(); st.Nodes != n {
+		return fmt.Errorf("sim: Resume: state for %d nodes, deployment has %d", st.Nodes, n)
+	}
+	levels := rs.Env.Query.Levels.Count()
+	for i, r := range st.Sent {
+		if r.LevelIndex >= levels {
+			return fmt.Errorf("sim: Resume: sent report %d: level index %d outside the query's %d levels", i, r.LevelIndex, levels)
+		}
+	}
+	for i, e := range st.Belief {
+		if e.LevelIndex < 0 || e.LevelIndex >= levels {
+			return fmt.Errorf("sim: Resume: belief entry %d: level index %d outside the query's %d levels", i, e.LevelIndex, levels)
+		}
+		if e.Source < 0 || int(e.Source) >= st.Nodes {
+			return fmt.Errorf("sim: Resume: belief entry %d: source %d outside [0,%d)", i, e.Source, st.Nodes)
+		}
+	}
+	ds, am, err := rs.newProtocolState()
+	if err != nil {
+		return err
+	}
+	if err := ds.Import(st.Sent); err != nil {
+		return fmt.Errorf("sim: Resume: %w", err)
+	}
+	if err := am.Import(st.Belief, st.Round); err != nil {
+		return fmt.Errorf("sim: Resume: %w", err)
+	}
+	rs.round, rs.delta, rs.aged = st.Round, ds, am
+	return nil
+}
+
+// newProtocolState builds the empty delta-mode protocol state: the
+// source-side memory and the sink's aged belief.
+func (rs *RoundSource) newProtocolState() (*desim.DeltaState, *monitor.AgedMap, error) {
+	ds, err := desim.NewDeltaState(rs.Env.Network.Len(), desim.DeltaConfig{GradAngle: rs.DeltaGradAngle})
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: delta state: %w", err)
+	}
+	am, err := monitor.NewAgedMap(monitor.AgedConfig{ExpiryRounds: rs.DeltaExpiry})
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: aged map: %w", err)
+	}
+	return ds, am, nil
 }
 
 // RoundData is one round's sink-side outcome.
@@ -224,13 +321,9 @@ func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig,
 // otherwise the sink keeps exactly the round's deliveries.
 func (rs *RoundSource) nextPacket(f field.Field, rd *RoundData, faulted bool) (*RoundData, error) {
 	if rs.Delta && rs.delta == nil {
-		ds, err := desim.NewDeltaState(rs.Env.Network.Len(), desim.DeltaConfig{GradAngle: rs.DeltaGradAngle})
+		ds, am, err := rs.newProtocolState()
 		if err != nil {
-			return nil, fmt.Errorf("sim: delta state: %w", err)
-		}
-		am, err := monitor.NewAgedMap(monitor.AgedConfig{ExpiryRounds: rs.DeltaExpiry})
-		if err != nil {
-			return nil, fmt.Errorf("sim: aged map: %w", err)
+			return nil, err
 		}
 		rs.delta, rs.aged = ds, am
 	}
